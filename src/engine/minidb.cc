@@ -850,13 +850,22 @@ Status MiniDb::EnsureRedoneForAccess(storage::PageId page) {
     return Status::Ok();
   }
   par::InstantRedoDriver* driver = instant_driver_.get();
-  if (driver == nullptr || !driver->HasPendingWork(page)) return Status::Ok();
+  if (driver == nullptr) return Status::Ok();
+  // The urgent flag makes the background workers stand aside after the
+  // page they are on. It goes up BEFORE the pending probe: the probe
+  // takes the driver mutex, which a background drain holds across its
+  // page reads, and without the flag a worker retakes that mutex for
+  // its next page ahead of us, again and again. Probes of pages with
+  // nothing pending drop it at once.
+  drain_urgent_.fetch_add(1, std::memory_order_relaxed);
+  if (!driver->HasPendingWork(page)) {
+    drain_urgent_.fetch_sub(1, std::memory_order_relaxed);
+    return Status::Ok();
+  }
   // The drain takes the gate exclusive: replaying a split dst re-arms
   // its §6.4 write-order constraint, which can cascade a flush onto
   // pages no latch covers. Callers invoke this BEFORE their shared-gate
-  // acquisition, never while holding the gate. The urgent flag makes
-  // the background workers stand aside while we wait for the gate.
-  drain_urgent_.fetch_add(1, std::memory_order_relaxed);
+  // acquisition, never while holding the gate.
   std::unique_lock<std::shared_mutex> gate(op_gate_);
   drain_urgent_.fetch_sub(1, std::memory_order_relaxed);
   return driver->DrainPage(page, /*on_demand=*/true);

@@ -473,9 +473,11 @@ class MiniDb {
   /// points hard-stop on it under sanitizers (REDO_SANITIZER_CHECK) to
   /// catch the racing call site, not just the diagnosed Recover().
   std::atomic<bool> recovering_{false};
-  /// Count of on-demand drains waiting for the exclusive gate. The
-  /// background drain workers yield while it is non-zero so a session
-  /// blocked on its page never queues behind a full background chain.
+  /// Count of sessions probing their page for pending redo or waiting
+  /// for the exclusive gate to drain it (plus session splits and aborts
+  /// waiting for the gate). The background drain workers yield while it
+  /// is non-zero so a session blocked on its page never queues behind a
+  /// full background chain.
   std::atomic<int> drain_urgent_{0};
 };
 

@@ -26,6 +26,9 @@ InstantRedoDriver::InstantRedoDriver(storage::BufferPool* pool, RedoPlan plan,
     for (PageId page : plan_.tasks[i].Writes()) chains_[page].push_back(i);
     for (PageId page : plan_.tasks[i].Reads()) chains_[page].push_back(i);
   }
+  for (const auto& [page, chain] : chains_) {
+    heads_.emplace(plan_.tasks[chain.front()].lsn, page);
+  }
   if (metrics_ != nullptr) {
     metrics_->restarts.fetch_add(1, std::memory_order_relaxed);
   }
@@ -75,26 +78,30 @@ Status InstantRedoDriver::DrainPage(PageId page, bool on_demand) {
 bool InstantRedoDriver::NextPendingPage(PageId* out) {
   std::lock_guard<std::mutex> lock(mu_);
   if (aborted_ || !first_error_.ok()) return false;
-  PageId best_page = 0;
-  core::Lsn best_lsn = std::numeric_limits<core::Lsn>::max();
-  bool found = false;
-  for (auto it = chains_.begin(); it != chains_.end();) {
+  while (!heads_.empty()) {
+    const auto [key, page] = heads_.top();
+    const auto it = chains_.find(page);
+    if (it == chains_.end()) {  // drained (and erased) since queued
+      heads_.pop();
+      continue;
+    }
     std::deque<size_t>& chain = it->second;
     while (!chain.empty() && applied_[chain.front()]) chain.pop_front();
     if (chain.empty()) {
-      it = chains_.erase(it);
+      chains_.erase(it);
+      heads_.pop();
       continue;
     }
     const core::Lsn head = plan_.tasks[chain.front()].lsn;
-    if (!found || head < best_lsn) {
-      found = true;
-      best_lsn = head;
-      best_page = it->first;
+    if (head != key) {  // the head rose: re-key and look again
+      heads_.pop();
+      heads_.emplace(head, page);
+      continue;
     }
-    ++it;
+    *out = page;
+    return true;
   }
-  if (found) *out = best_page;
-  return found;
+  return false;
 }
 
 bool InstantRedoDriver::Done() const {

@@ -19,15 +19,20 @@
 // case), so every caller must hold the engine's op gate EXCLUSIVE —
 // exactly the barrier the buffer pool's flush paths already require.
 // The driver's own mutex guards only its chain bookkeeping, making the
-// cheap observers (HasPendingWork, Done) safe from any thread.
+// observers (HasPendingWork, Done) safe from any thread. DrainPage holds
+// that mutex for the whole drain, page reads included, so an observer
+// called while a drain runs waits for the drain to finish.
 
 #ifndef REDO_REDO_INSTANT_H_
 #define REDO_REDO_INSTANT_H_
 
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <map>
 #include <mutex>
+#include <queue>
+#include <utility>
 #include <vector>
 
 #include "redo/metrics.h"
@@ -67,8 +72,10 @@ class InstantRedoDriver {
   InstantRedoDriver(storage::BufferPool* pool, RedoPlan plan,
                     InstantRedoOptions options, InstantRedoMetrics* metrics);
 
-  /// True if `page`'s chain still holds pending tasks. Cheap; safe from
-  /// any thread. A false result is stable: chains only ever shrink.
+  /// True if `page`'s chain still holds pending tasks. Safe from any
+  /// thread; cheap when no drain is running, but it waits for a drain
+  /// in progress (see the threading contract above). A false result is
+  /// stable: chains only ever shrink.
   bool HasPendingWork(storage::PageId page);
 
   /// Replays everything still pending on `page`'s chain (recursively
@@ -78,9 +85,11 @@ class InstantRedoDriver {
   /// fails, every subsequent call returns that first error.
   Status DrainPage(storage::PageId page, bool on_demand);
 
-  /// Picks the pending chain whose head has the lowest LSN — the
-  /// background workers' work queue, yielding a global-LSN-order linear
-  /// extension. False if nothing is pending (or the driver aborted).
+  /// Picks the pending chain whose head has the lowest LSN, ties going
+  /// to the lowest page id — the background workers' work queue,
+  /// yielding a global-LSN-order linear extension. False if nothing is
+  /// pending (or the driver aborted). Amortized O(log pages): see
+  /// `heads_`.
   bool NextPendingPage(storage::PageId* out);
 
   /// True once every planned task has been applied or skipped.
@@ -116,6 +125,15 @@ class InstantRedoDriver {
   /// chain of EVERY page it touches (writes and reads): a reader of
   /// split-src must not see src past the split record that reads it.
   std::map<storage::PageId, std::deque<size_t>> chains_;
+  /// Min-heap of (chain head LSN, page), one entry per page in
+  /// `chains_`, refreshed lazily: a chain's head only ever rises, so an
+  /// entry's key is at most its page's true head. NextPendingPage
+  /// re-keys (or drops) a stale top until the top is current — then it
+  /// is the true lowest head.
+  using HeadEntry = std::pair<core::Lsn, storage::PageId>;
+  std::priority_queue<HeadEntry, std::vector<HeadEntry>,
+                      std::greater<HeadEntry>>
+      heads_;
   std::vector<char> applied_;
   size_t remaining_ = 0;
   Status first_error_;

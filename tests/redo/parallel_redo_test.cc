@@ -1,17 +1,20 @@
 // The parallel redo scheduler: plan construction, the write-graph DAG,
-// cross-worker split hand-off, and end-to-end serial/parallel
-// equivalence through every recovery method.
+// cross-worker split hand-off, end-to-end serial/parallel equivalence
+// through every recovery method, and the instant-restart driver's
+// background pick order.
 
 #include "redo/scheduler.h"
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "engine/minidb.h"
+#include "redo/instant.h"
 #include "redo/plan.h"
 #include "storage/page.h"
 
@@ -314,6 +317,119 @@ TEST(ParallelRedoEngineTest, AsyncPrefetchRecoversIdenticallyForEveryMethod) {
           << "a read-heavy method must actually use the prefetch path";
     }
   }
+}
+
+// ---- Instant-restart pick order ----
+
+// Test-side model of the instant driver's pending set. Draining `page`
+// below `bound` applies, in LSN order, each pending task that touches
+// `page`, after first draining every other page of that task up to the
+// task's LSN (the write-graph bridge of DESIGN.md §11).
+class PendingModel {
+ public:
+  explicit PendingModel(const RedoPlan& plan)
+      : plan_(plan), applied_(plan.tasks.size(), 0) {}
+
+  void Drain(PageId page, core::Lsn bound) {
+    for (size_t i = 0; i < plan_.tasks.size(); ++i) {
+      if (applied_[i] || !Touches(i, page)) continue;
+      if (plan_.tasks[i].lsn >= bound) return;
+      for (PageId other : Pages(i)) {
+        if (other != page) Drain(other, plan_.tasks[i].lsn);
+      }
+      applied_[i] = 1;
+    }
+  }
+
+  // Lowest pending (head LSN, page) over every chain; false if none.
+  bool LowestHead(core::Lsn* lsn, PageId* page, size_t* tied) const {
+    bool found = false;
+    *tied = 0;
+    for (PageId p = 0; p < kPages; ++p) {
+      for (size_t i = 0; i < plan_.tasks.size(); ++i) {
+        if (applied_[i] || !Touches(i, p)) continue;
+        const core::Lsn head = plan_.tasks[i].lsn;
+        if (!found || head < *lsn) {
+          found = true;
+          *lsn = head;
+          *page = p;
+          *tied = 1;
+        } else if (head == *lsn) {
+          ++*tied;
+        }
+        break;
+      }
+    }
+    return found;
+  }
+
+ private:
+  std::vector<PageId> Pages(size_t i) const {
+    std::vector<PageId> pages = plan_.tasks[i].Writes();
+    for (PageId p : plan_.tasks[i].Reads()) pages.push_back(p);
+    return pages;
+  }
+  bool Touches(size_t i, PageId page) const {
+    for (PageId p : Pages(i)) {
+      if (p == page) return true;
+    }
+    return false;
+  }
+
+  const RedoPlan& plan_;
+  std::vector<char> applied_;
+};
+
+// The background queue yields chains lowest head LSN first, ties to the
+// lowest page id, including after on-demand drains have raised or
+// emptied some chains out of order — and nothing once the plan is done.
+TEST(InstantRedoDriverTest, NextPendingPageTakesLowestHeadThenLowestPage) {
+  auto db = MakeDb(MethodKind::kGeneralized);
+  RunMixedWorkload(*db);
+  if (testing::Test::HasFatalFailure()) return;
+  // A split onto two untouched pages, dst below src: both chains start
+  // at the split's LSN, and the tie must go to dst, the lower page.
+  ASSERT_TRUE(db->Split(SplitOp{SplitTransform::kSlotHalf, 11, 10}).ok());
+  ASSERT_TRUE(db->WriteSlot(10, 1, 5).ok());
+  ASSERT_TRUE(db->WriteSlot(11, 1, 6).ok());
+  const RedoPlan plan = BuildRedoPlan(StableRecords(*db), false).value();
+  db->Crash();
+
+  InstantRedoOptions options;
+  options.mode = InstantRedoOptions::Mode::kLsnTest;
+  InstantRedoDriver driver(&db->pool(), plan, options, nullptr);
+  PendingModel model(plan);
+  // On-demand drains first: a split destination (bridging into its
+  // source's chain) and a page from the middle of the LSN order.
+  for (PageId page : {PageId{8}, PageId{4}}) {
+    ASSERT_TRUE(driver.DrainPage(page, /*on_demand=*/true).ok());
+    model.Drain(page, std::numeric_limits<core::Lsn>::max());
+  }
+
+  size_t picks = 0;
+  size_t tie_picks = 0;
+  PageId page = 0;
+  while (driver.NextPendingPage(&page)) {
+    core::Lsn want_lsn = 0;
+    PageId want_page = 0;
+    size_t tied = 0;
+    ASSERT_TRUE(model.LowestHead(&want_lsn, &want_page, &tied))
+        << "driver reports page " << page << " pending, model has none";
+    ASSERT_EQ(page, want_page) << "pick " << picks << ": head LSN "
+                               << want_lsn << " is lowest";
+    if (tied > 1) ++tie_picks;
+    ASSERT_TRUE(driver.DrainPage(page, /*on_demand=*/false).ok());
+    model.Drain(page, std::numeric_limits<core::Lsn>::max());
+    ++picks;
+  }
+  core::Lsn lsn = 0;
+  size_t tied = 0;
+  EXPECT_FALSE(model.LowestHead(&lsn, &page, &tied));
+  EXPECT_TRUE(driver.Done());
+  EXPECT_EQ(driver.tasks_remaining(), 0u);
+  EXPECT_FALSE(driver.NextPendingPage(&page));
+  EXPECT_GE(picks, 5u);
+  EXPECT_GE(tie_picks, 1u) << "the workload must put a tie at the top";
 }
 
 // ---- Metrics ----
