@@ -1,6 +1,7 @@
 #include "methods/common.h"
 
 #include <algorithm>
+#include <cstring>
 
 #include "redo/plan.h"
 #include "redo/scheduler.h"
@@ -119,11 +120,12 @@ Status TraceLoggedOp(EngineContext& ctx, core::Lsn lsn, std::string name,
 
 namespace {
 
-// Serial LSN-test apply over the already-read stable records. Counts
+// Serial LSN-test apply, one record at a time straight off the stable
+// scan: planning peeks the record header, and the op or image decodes
+// only once the redo test says the record must be replayed. Counts
 // into `s` in place; LsnRedoScan folds `s` into the caller's stats so
 // partial work is still reported after a mid-scan failure.
-Status SerialLsnApply(EngineContext& ctx,
-                      const std::vector<wal::LogRecord>& records,
+Status SerialLsnApply(EngineContext& ctx, core::Lsn from,
                       bool add_split_constraints,
                       const std::map<storage::PageId, core::Lsn>* dpt,
                       RecoveryMethod::RedoScanStats& s) {
@@ -164,131 +166,134 @@ Status SerialLsnApply(EngineContext& ctx,
     return ctx.pool->Fetch(page);
   };
 
-  for (const wal::LogRecord& record : records) {
-    if (record.type != wal::RecordType::kCheckpoint &&
-        !wal::IsTxnMetaRecord(record.type)) {
-      ++s.scanned;
-    }
-    switch (record.type) {
-      case wal::RecordType::kCheckpoint:
-      // Transaction metadata carries no redo work (kClr does, and falls
-      // through to its own case below).
-      case wal::RecordType::kTxnBegin:
-      case wal::RecordType::kTxnCommit:
-      case wal::RecordType::kTxnEnd:
-      case wal::RecordType::kTxnUpdate:
-        break;
-      case wal::RecordType::kClr: {
-        Result<engine::Clr> clr = engine::DecodeClr(record.payload);
-        if (!clr.ok()) return clr.status();
+  // Applies one planned task; the task borrows the scanned record.
+  auto redo = [&](const par::RedoTask& task) -> Status {
+    const core::Lsn lsn = task.lsn;
+    switch (task.kind) {
+      case par::RedoTaskKind::kClrRestore: {
         bool any_applied = false;
-        for (const engine::UndoAction& action : clr.value().actions) {
-          if (analysis_says_installed(action.page, record.lsn)) continue;
+        for (const engine::UndoAction& action : task.clr_actions) {
+          if (analysis_says_installed(action.page, lsn)) continue;
           Result<storage::Page*> cached = fetch(action.page);
           if (!cached.ok()) return cached.status();
-          if (cached.value()->lsn() >= record.lsn) {  // installed
-            installed(record.lsn, action.page);
+          if (cached.value()->lsn() >= lsn) {  // installed
+            installed(lsn, action.page);
             continue;
           }
-          REDO_RETURN_IF_ERROR(
-              engine::ApplyOneUndoAction(ctx.pool, action, record.lsn));
+          REDO_RETURN_IF_ERROR(engine::ApplyOneUndoAction(ctx.pool, action, lsn));
           any_applied = true;
-          applied(record.lsn, action.page);
+          applied(lsn, action.page);
         }
         if (any_applied) ++s.replayed;
-        break;
+        return Status::Ok();
       }
-      case wal::RecordType::kPageImage: {
-        Result<std::pair<storage::PageId, storage::Page>> decoded =
-            engine::DecodePageImage(record.payload);
-        if (!decoded.ok()) return decoded.status();
-        const auto& [page, image] = decoded.value();
-        if (analysis_says_installed(page, record.lsn)) break;
-        Result<storage::Page*> cached = fetch(page);
+      case par::RedoTaskKind::kPageImage: {
+        if (analysis_says_installed(task.page, lsn)) return Status::Ok();
+        Result<storage::Page*> cached = fetch(task.page);
         if (!cached.ok()) return cached.status();
-        if (cached.value()->lsn() >= record.lsn) {  // installed
-          installed(record.lsn, page);
-          break;
+        if (cached.value()->lsn() >= lsn) {  // installed
+          installed(lsn, task.page);
+          return Status::Ok();
         }
-        REDO_RETURN_IF_ERROR(RedoPageImage(ctx, page, image, record.lsn));
+        storage::Page image;
+        std::memcpy(image.bytes().data(), task.ImageBytes(),
+                    storage::Page::kSize);
+        REDO_RETURN_IF_ERROR(RedoPageImage(ctx, task.page, image, lsn));
         ++s.replayed;
-        applied(record.lsn, page);
-        break;
+        applied(lsn, task.page);
+        return Status::Ok();
       }
-      case wal::RecordType::kPageSplit: {
-        Result<engine::SplitOp> split = engine::DecodeSplitOp(record.payload);
-        if (!split.ok()) return split.status();
-        if (analysis_says_installed(split.value().dst, record.lsn)) break;
-        Result<storage::Page*> dst = fetch(split.value().dst);
+      case par::RedoTaskKind::kSplitDst: {
+        const engine::SplitOp& split = task.split;
+        if (analysis_says_installed(split.dst, lsn)) return Status::Ok();
+        Result<storage::Page*> dst = fetch(split.dst);
         if (!dst.ok()) return dst.status();
-        if (dst.value()->lsn() >= record.lsn) {  // installed
-          installed(record.lsn, split.value().dst);
-          break;
+        if (dst.value()->lsn() >= lsn) {  // installed
+          installed(lsn, split.dst);
+          return Status::Ok();
         }
-        Result<storage::Page*> src = fetch(split.value().src);
+        Result<storage::Page*> src = fetch(split.src);
         if (!src.ok()) return src.status();
         // Copy src out: fetching one page may evict the other under a
         // tiny cache capacity, invalidating the first pointer.
         const storage::Page src_copy = *src.value();
-        dst = fetch(split.value().dst);
+        dst = fetch(split.dst);
         if (!dst.ok()) return dst.status();
         // Re-run the redo test on the refetched dst: the test above and
         // this apply are separated by a fetch that can change what the
         // cache holds, and an already-current dst must never absorb the
         // split twice (a kSlotTransfer double-apply corrupts the slot).
-        if (dst.value()->lsn() >= record.lsn) {  // installed
-          installed(record.lsn, split.value().dst);
-          break;
+        if (dst.value()->lsn() >= lsn) {  // installed
+          installed(lsn, split.dst);
+          return Status::Ok();
         }
-        engine::ApplySplitToDst(split.value(), src_copy, dst.value());
-        REDO_RETURN_IF_ERROR(
-            ctx.pool->MarkDirty(split.value().dst, record.lsn));
+        engine::ApplySplitToDst(split, src_copy, dst.value());
+        REDO_RETURN_IF_ERROR(ctx.pool->MarkDirty(split.dst, lsn));
         ++s.replayed;
-        applied(record.lsn, split.value().dst);
+        applied(lsn, split.dst);
         if (add_split_constraints) {
           // Same acyclicity rule as during normal operation.
-          if (ctx.pool->HasPendingOrderPath(split.value().src,
-                                            split.value().dst)) {
-            REDO_RETURN_IF_ERROR(
-                ctx.pool->FlushPageCascading(split.value().dst));
+          if (ctx.pool->HasPendingOrderPath(split.src, split.dst)) {
+            REDO_RETURN_IF_ERROR(ctx.pool->FlushPageCascading(split.dst));
           } else {
-            ctx.pool->AddWriteOrderConstraint(split.value().dst, record.lsn,
-                                              split.value().src);
+            ctx.pool->AddWriteOrderConstraint(split.dst, lsn, split.src);
           }
         }
-        break;
+        return Status::Ok();
       }
-      default: {  // single-page ops
-        Result<engine::SinglePageOp> op =
-            engine::DecodeSinglePageOp(record.type, record.payload);
-        if (!op.ok()) return op.status();
-        if (analysis_says_installed(op.value().page, record.lsn)) break;
-        Result<storage::Page*> cached = fetch(op.value().page);
+      case par::RedoTaskKind::kSinglePage: {
+        if (analysis_says_installed(task.page, lsn)) return Status::Ok();
+        Result<storage::Page*> cached = fetch(task.page);
         if (!cached.ok()) return cached.status();
-        if (cached.value()->lsn() >= record.lsn) {  // installed
-          installed(record.lsn, op.value().page);
-          break;
+        if (cached.value()->lsn() >= lsn) {  // installed
+          installed(lsn, task.page);
+          return Status::Ok();
         }
-        REDO_RETURN_IF_ERROR(RedoSinglePageOp(ctx, op.value(), record.lsn));
+        Result<engine::SinglePageOp> op = task.DecodeOp();
+        if (!op.ok()) return op.status();
+        REDO_RETURN_IF_ERROR(RedoSinglePageOp(ctx, op.value(), lsn));
         ++s.replayed;
-        applied(record.lsn, op.value().page);
-        break;
+        applied(lsn, task.page);
+        return Status::Ok();
       }
+      case par::RedoTaskKind::kWholeSplit:
+        break;  // logical-method shape only; never planned here
     }
+    return Status::InvalidArgument("unhandled redo task kind");
+  };
+
+  auto visit = [&](const wal::LogRecord& record, bool) {
+    par::RedoTask task;
+    Result<bool> planned = par::PlanRecord(record, /*whole_splits=*/false, &task);
+    if (!planned.ok() || !planned.value()) return planned.status();
+    ++s.scanned;
+    return redo(task);
+  };
+  // Each record is applied while the scan lends it out. A page fetch
+  // may evict, and the eviction forces the log up to the victim's LSN:
+  // after a crash the volatile tail is empty and that force touches no
+  // record. In a rehearsal (Recover() on a live db with unforced
+  // appends) it would grow the record cache, or seal segments, under
+  // the scan, so a rehearsal replays a copy.
+  if (ctx.log->PendingForceBytes() == 0) return ctx.log->ScanStable(from, visit);
+  Result<std::vector<wal::LogRecord>> records = ctx.log->StableRecords(from);
+  if (!records.ok()) return records.status();
+  for (const wal::LogRecord& record : records.value()) {
+    REDO_RETURN_IF_ERROR(visit(record, false));
   }
   return Status::Ok();
 }
 
-// Parallel LSN-test apply: partition pages across workers, replay the
-// write-graph chains concurrently, then finish the serial-order parts
-// (tracer verdicts, §6.4 constraint re-arming) from the merged result.
-Status ParallelLsnApply(EngineContext& ctx,
-                        std::vector<wal::LogRecord> records,
+// Parallel LSN-test apply: plan the suffix straight off the log
+// (borrowed records, no copies), replay the write-graph chains
+// concurrently, then finish the serial-order parts (§6.4 constraint
+// re-arming) from the merged result.
+Status ParallelLsnApply(EngineContext& ctx, core::Lsn from,
                         bool add_split_constraints,
                         const std::map<storage::PageId, core::Lsn>* dpt,
                         RecoveryMethod::RedoScanStats& s) {
   Result<par::RedoPlan> plan =
-      par::BuildRedoPlan(std::move(records), /*whole_splits=*/false);
+      par::BuildRedoPlan(*ctx.log, from, /*whole_splits=*/false);
   if (!plan.ok()) return plan.status();
   par::ParallelRedoOptions options;
   options.workers = ctx.options.parallel_workers;
@@ -298,16 +303,11 @@ Status ParallelLsnApply(EngineContext& ctx,
   // touch may skip its disk read.
   options.blind_first_touch = false;
   const par::ParallelRedoReport report = par::RunParallelRedo(
-      ctx.pool, plan.value(), options, ctx.parallel_metrics);
+      ctx.pool, plan.value(), options, ctx.parallel_metrics, ctx.tracer);
   s.scanned += report.scanned;
   s.replayed += report.replayed;
   s.skipped_without_fetch += report.skipped_without_fetch;
   s.page_fetches += report.page_fetches;
-  if (ctx.tracer != nullptr) {
-    for (const par::TaskVerdict& v : report.verdicts) {
-      ctx.tracer->Verdict(v.lsn, v.page, v.verdict, v.reason);
-    }
-  }
   REDO_RETURN_IF_ERROR(report.status);
   if (add_split_constraints) {
     // Re-arm write-order constraints single-threaded in LSN order over
@@ -336,9 +336,6 @@ Status LsnRedoScan(EngineContext& ctx, bool add_split_constraints,
   Result<core::Lsn> redo_start = ReadRedoScanStart(ctx);
   if (!redo_start.ok()) return redo_start.status();
   REDO_RETURN_IF_ERROR(TraceCheckpointChosen(ctx, redo_start.value()));
-  Result<std::vector<wal::LogRecord>> records =
-      ctx.log->StableRecords(redo_start.value());
-  if (!records.ok()) return records.status();
 
   // Count into a local struct and *add* to the caller's at the end:
   // callers that recover repeatedly (the degradation ladder's reruns)
@@ -347,10 +344,10 @@ Status LsnRedoScan(EngineContext& ctx, bool add_split_constraints,
   RecoveryMethod::RedoScanStats local;
   const Status status =
       ctx.options.parallel_workers > 1
-          ? ParallelLsnApply(ctx, std::move(records.value()),
-                             add_split_constraints, dpt, local)
-          : SerialLsnApply(ctx, records.value(), add_split_constraints, dpt,
-                           local);
+          ? ParallelLsnApply(ctx, redo_start.value(), add_split_constraints,
+                             dpt, local)
+          : SerialLsnApply(ctx, redo_start.value(), add_split_constraints,
+                           dpt, local);
   if (stats != nullptr) {
     stats->scanned += local.scanned;
     stats->replayed += local.replayed;
@@ -377,16 +374,11 @@ Status ParallelRedoAll(EngineContext& ctx, std::vector<wal::LogRecord> records,
   options.workers = ctx.options.parallel_workers;
   options.mode = par::ParallelRedoOptions::Mode::kRedoAll;
   const par::ParallelRedoReport report = par::RunParallelRedo(
-      ctx.pool, plan.value(), options, ctx.parallel_metrics);
+      ctx.pool, plan.value(), options, ctx.parallel_metrics, ctx.tracer);
   if (stats != nullptr) {
     stats->scanned += report.scanned;
     stats->replayed += report.replayed;
     stats->page_fetches += report.page_fetches;
-  }
-  if (ctx.tracer != nullptr) {
-    for (const par::TaskVerdict& v : report.verdicts) {
-      ctx.tracer->Verdict(v.lsn, v.page, v.verdict, v.reason);
-    }
   }
   REDO_RETURN_IF_ERROR(report.status);
   return ctx.pool->ReduceToCapacity();

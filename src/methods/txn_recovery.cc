@@ -23,10 +23,11 @@ Result<TxnAnalysis> AnalyzeTransactions(EngineContext& ctx) {
       }
     }
   }
-  Result<std::vector<wal::LogRecord>> records =
-      ctx.log->StableRecords(scan_from);
-  if (!records.ok()) return records.status();
-  for (const wal::LogRecord& record : records.value()) {
+  // Only transaction metadata matters here, so the scan borrows every
+  // record instead of copying the log.
+  REDO_RETURN_IF_ERROR(ctx.log->ScanStable(scan_from, [&analysis](
+                                               const wal::LogRecord& record,
+                                               bool) -> Status {
     switch (record.type) {
       case wal::RecordType::kTxnBegin: {
         Result<uint64_t> txn = engine::DecodeTxnMeta(record.payload);
@@ -80,7 +81,8 @@ Result<TxnAnalysis> AnalyzeTransactions(EngineContext& ctx) {
       default:
         break;
     }
-  }
+    return Status::Ok();
+  }));
   return analysis;
 }
 

@@ -101,10 +101,10 @@ RecoveryTracer::~RecoveryTracer() {
   if (registry_ != nullptr) registry_->Unregister("recovery");
 }
 
-TraceEvent& RecoveryTracer::Add(const std::string& event) {
-  events_.push_back(TraceEvent{});
-  events_.back().event = event;
-  return events_.back();
+TraceEvent& RecoveryTracer::Add(const char* event) {
+  TraceEvent& e = events_.emplace_back();
+  e.event = event;
+  return e;
 }
 
 void RecoveryTracer::BeginRun(const std::string& method_name) {
@@ -177,7 +177,7 @@ void RecoveryTracer::CheckpointChosen(uint64_t checkpoint_lsn,
 }
 
 void RecoveryTracer::Verdict(uint64_t lsn, uint32_t page, RedoVerdict verdict,
-                             const std::string& reason) {
+                             std::string_view reason) {
   switch (verdict) {
     case RedoVerdict::kApplied:
       ++run_verdicts_.applied;
@@ -192,9 +192,13 @@ void RecoveryTracer::Verdict(uint64_t lsn, uint32_t page, RedoVerdict verdict,
       ++total_verdicts_.not_exposed;
       break;
   }
+  // A traced recovery emits one of these per scanned record: size the
+  // attribute lists once instead of growing them.
   TraceEvent& e = Add("redo-verdict");
+  e.strings.reserve(2);
   e.strings.emplace_back("verdict", RedoVerdictName(verdict));
   e.strings.emplace_back("reason", reason);
+  e.numbers.reserve(2);
   e.numbers.emplace_back("lsn", static_cast<int64_t>(lsn));
   e.numbers.emplace_back("page", static_cast<int64_t>(page));
 }

@@ -39,6 +39,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -113,7 +114,7 @@ class RecoveryTracer {
 
   void CheckpointChosen(uint64_t checkpoint_lsn, uint64_t scan_start);
   void Verdict(uint64_t lsn, uint32_t page, RedoVerdict verdict,
-               const std::string& reason);
+               std::string_view reason);
   void Salvage(bool torn, uint64_t dropped_bytes, uint64_t salvaged_records,
                uint64_t stable_lsn);
   void ScrubSummary(uint64_t segments, uint64_t repairs, uint64_t holes,
@@ -149,7 +150,7 @@ class RecoveryTracer {
   std::string ToJsonl(bool include_timing = true) const;
 
  private:
-  TraceEvent& Add(const std::string& event);
+  TraceEvent& Add(const char* event);
 
   MetricsRegistry* registry_;
   Histogram* phase_us_ = nullptr;  // registry-owned

@@ -184,27 +184,26 @@ Status InstantRedoDriver::ApplyTaskLocked(const RedoTask& task) {
 
   switch (task.kind) {
     case RedoTaskKind::kSinglePage: {
-      if (dpt_skips(task.op.page, task.lsn)) return skipped();
-      Result<Page*> page = pool_->Fetch(task.op.page);
+      if (dpt_skips(task.page, task.lsn)) return skipped();
+      Result<Page*> page = pool_->Fetch(task.page);
       if (!page.ok()) return page.status();
       if (!redo_all && page.value()->lsn() >= task.lsn) return skipped();
-      REDO_RETURN_IF_ERROR(engine::ApplySinglePageOp(task.op, page.value()));
-      REDO_RETURN_IF_ERROR(pool_->MarkDirty(task.op.page, task.lsn));
+      Result<engine::SinglePageOp> op = task.DecodeOp();
+      if (!op.ok()) return op.status();
+      REDO_RETURN_IF_ERROR(engine::ApplySinglePageOp(op.value(), page.value()));
+      REDO_RETURN_IF_ERROR(pool_->MarkDirty(task.page, task.lsn));
       return applied();
     }
 
     case RedoTaskKind::kPageImage: {
-      if (dpt_skips(task.image_page, task.lsn)) return skipped();
-      Result<Page*> page = pool_->Fetch(task.image_page);
+      if (dpt_skips(task.page, task.lsn)) return skipped();
+      Result<Page*> page = pool_->Fetch(task.page);
       if (!page.ok()) return page.status();
       if (!redo_all && page.value()->lsn() >= task.lsn) return skipped();
-      // One memcpy from the still-encoded payload straight into the
-      // frame, as in the parallel scheduler.
-      std::memcpy(page.value()->bytes().data(),
-                  task.image_payload.data() +
-                      (task.image_payload.size() - Page::kSize),
-                  Page::kSize);
-      REDO_RETURN_IF_ERROR(pool_->MarkDirty(task.image_page, task.lsn));
+      // One memcpy from the record straight into the frame, as in the
+      // parallel scheduler.
+      std::memcpy(page.value()->bytes().data(), task.ImageBytes(), Page::kSize);
+      REDO_RETURN_IF_ERROR(pool_->MarkDirty(task.page, task.lsn));
       return applied();
     }
 

@@ -21,7 +21,7 @@ struct ParallelRedoMetrics {
   uint64_t cross_edges = 0;      ///< multi-page tasks spanning two workers
   uint64_t blind_installs = 0;   ///< first-touch installs skipping a read
   uint64_t prefetched_pages = 0; ///< pages installed by async read batches
-  uint64_t verdicts_merged = 0;  ///< verdicts LSN-sorted at the join
+  uint64_t verdicts_merged = 0;  ///< redo-test verdicts the workers reached
 
   /// Thread-CPU time spent in worker loops (sum across workers), and
   /// the per-run critical path (the slowest worker's CPU time, summed

@@ -1,5 +1,6 @@
 #include "redo/plan.h"
 
+#include <iterator>
 #include <optional>
 #include <unordered_map>
 
@@ -8,9 +9,8 @@ namespace redo::par {
 std::vector<storage::PageId> RedoTask::Writes() const {
   switch (kind) {
     case RedoTaskKind::kSinglePage:
-      return {op.page};
     case RedoTaskKind::kPageImage:
-      return {image_page};
+      return {page};
     case RedoTaskKind::kSplitDst:
       return {split.dst};
     case RedoTaskKind::kWholeSplit:
@@ -31,7 +31,7 @@ std::vector<storage::PageId> RedoTask::Writes() const {
 std::vector<storage::PageId> RedoTask::Reads() const {
   switch (kind) {
     case RedoTaskKind::kSinglePage:
-      if (!op.blind) return {op.page};
+      if (!blind) return {page};
       return {};
     case RedoTaskKind::kPageImage:
       return {};
@@ -52,74 +52,127 @@ std::vector<storage::PageId> RedoTask::Reads() const {
   return {};
 }
 
+Result<engine::SinglePageOp> RedoTask::DecodeOp() const {
+  if (record->type != wal::RecordType::kLogicalOp) {
+    return engine::DecodeSinglePageOp(record->type, record->payload);
+  }
+  wal::PayloadReader r(record->payload);
+  Result<uint16_t> inner_type = r.U16();
+  if (!inner_type.ok()) return inner_type.status();
+  Result<std::vector<uint8_t>> inner = r.Bytes(r.remaining());
+  if (!inner.ok()) return inner.status();
+  return engine::DecodeSinglePageOp(
+      static_cast<wal::RecordType>(inner_type.value()), inner.value());
+}
+
+const uint8_t* RedoTask::ImageBytes() const {
+  return record->payload.data() + (record->payload.size() - storage::Page::kSize);
+}
+
+Result<bool> PlanRecord(const wal::LogRecord& record, bool whole_splits,
+                        RedoTask* task) {
+  task->lsn = record.lsn;
+  task->record = &record;
+  wal::PayloadReader r(record.payload);
+  switch (record.type) {
+    case wal::RecordType::kCheckpoint:
+    case wal::RecordType::kTxnBegin:
+    case wal::RecordType::kTxnCommit:
+    case wal::RecordType::kTxnEnd:
+    case wal::RecordType::kTxnUpdate:
+      return false;  // carries no redo work
+    case wal::RecordType::kClr: {
+      Result<engine::Clr> clr = engine::DecodeClr(record.payload);
+      if (!clr.ok()) return clr.status();
+      task->kind = RedoTaskKind::kClrRestore;
+      task->clr_actions = std::move(clr.value().actions);
+      break;
+    }
+    case wal::RecordType::kPageImage: {
+      // Peek the page id and validate the length; the raw bytes stay
+      // in the record until the owning worker installs them.
+      Result<uint32_t> page = r.U32();
+      if (!page.ok()) return page.status();
+      if (r.remaining() != storage::Page::kSize) {
+        return Status::Corruption("page image payload truncated");
+      }
+      task->kind = RedoTaskKind::kPageImage;
+      task->page = page.value();
+      break;
+    }
+    case wal::RecordType::kPageSplit: {
+      Result<engine::SplitOp> split = engine::DecodeSplitOp(record.payload);
+      if (!split.ok()) return split.status();
+      task->kind = whole_splits ? RedoTaskKind::kWholeSplit
+                                : RedoTaskKind::kSplitDst;
+      task->split = split.value();
+      break;
+    }
+    default: {
+      // A single-page op (kLogicalOp wraps one behind its inner type):
+      // peek the EncodeSinglePageOp header — page id, blind flag — and
+      // leave the args for DecodeOp.
+      if (record.type == wal::RecordType::kLogicalOp) {
+        Result<uint16_t> inner_type = r.U16();
+        if (!inner_type.ok()) return inner_type.status();
+      }
+      Result<uint32_t> page = r.U32();
+      if (!page.ok()) return page.status();
+      Result<uint8_t> blind = r.U8();
+      if (!blind.ok()) return blind.status();
+      task->kind = RedoTaskKind::kSinglePage;
+      task->page = page.value();
+      task->blind = blind.value() != 0;
+      break;
+    }
+  }
+  return true;
+}
+
+namespace {
+
+// The one builder: appends `record`'s task (if any) to the plan. The
+// record must live as long as the plan (see the lifetime rule).
+Status AddTask(const wal::LogRecord& record, bool whole_splits,
+               RedoPlan& plan) {
+  RedoTask& task = plan.tasks.emplace_back();
+  Result<bool> planned = PlanRecord(record, whole_splits, &task);
+  if (!planned.ok() || !planned.value()) {
+    plan.tasks.pop_back();
+    return planned.status();
+  }
+  if (task.kind == RedoTaskKind::kSplitDst ||
+      task.kind == RedoTaskKind::kWholeSplit || task.clr_actions.size() > 1) {
+    ++plan.multi_page_tasks;
+  }
+  return Status::Ok();
+}
+
+}  // namespace
+
+Result<RedoPlan> BuildRedoPlan(const wal::LogManager& log, core::Lsn from,
+                               bool whole_splits) {
+  RedoPlan plan;
+  // LSNs are dense, so this bounds the task count (a torn tail past the
+  // stable LSN may add a few; the vector then grows once).
+  const core::Lsn stable = log.stable_lsn();
+  plan.tasks.reserve(stable >= from ? stable - from + 1 : 0);
+  REDO_RETURN_IF_ERROR(log.ScanStable(
+      from, [&](const wal::LogRecord& record, bool transient) {
+        return AddTask(transient ? plan.owned.emplace_back(record) : record,
+                       whole_splits, plan);
+      }));
+  return plan;
+}
+
 Result<RedoPlan> BuildRedoPlan(std::vector<wal::LogRecord> records,
                                bool whole_splits) {
   RedoPlan plan;
-  plan.tasks.reserve(records.size());
-  for (wal::LogRecord& record : records) {
-    RedoTask task;
-    task.lsn = record.lsn;
-    switch (record.type) {
-      case wal::RecordType::kCheckpoint:
-      case wal::RecordType::kTxnBegin:
-      case wal::RecordType::kTxnCommit:
-      case wal::RecordType::kTxnEnd:
-      case wal::RecordType::kTxnUpdate:
-        continue;  // carries no redo work
-      case wal::RecordType::kClr: {
-        Result<engine::Clr> clr = engine::DecodeClr(record.payload);
-        if (!clr.ok()) return clr.status();
-        task.kind = RedoTaskKind::kClrRestore;
-        task.clr_actions = std::move(clr.value().actions);
-        if (task.clr_actions.size() > 1) ++plan.multi_page_tasks;
-        break;
-      }
-      case wal::RecordType::kPageImage: {
-        // Peek the page id and validate the length; the raw bytes stay
-        // encoded until the owning worker installs them.
-        wal::PayloadReader r(record.payload);
-        Result<uint32_t> page = r.U32();
-        if (!page.ok()) return page.status();
-        if (r.remaining() != storage::Page::kSize) {
-          return Status::Corruption("page image payload truncated");
-        }
-        task.kind = RedoTaskKind::kPageImage;
-        task.image_page = page.value();
-        task.image_payload = std::move(record.payload);
-        break;
-      }
-      case wal::RecordType::kPageSplit: {
-        Result<engine::SplitOp> split = engine::DecodeSplitOp(record.payload);
-        if (!split.ok()) return split.status();
-        task.kind = whole_splits ? RedoTaskKind::kWholeSplit
-                                 : RedoTaskKind::kSplitDst;
-        task.split = split.value();
-        ++plan.multi_page_tasks;
-        break;
-      }
-      case wal::RecordType::kLogicalOp: {
-        wal::PayloadReader r(record.payload);
-        Result<uint16_t> inner_type = r.U16();
-        if (!inner_type.ok()) return inner_type.status();
-        Result<std::vector<uint8_t>> inner = r.Bytes(r.remaining());
-        if (!inner.ok()) return inner.status();
-        Result<engine::SinglePageOp> op = engine::DecodeSinglePageOp(
-            static_cast<wal::RecordType>(inner_type.value()), inner.value());
-        if (!op.ok()) return op.status();
-        task.kind = RedoTaskKind::kSinglePage;
-        task.op = op.value();
-        break;
-      }
-      default: {
-        Result<engine::SinglePageOp> op =
-            engine::DecodeSinglePageOp(record.type, record.payload);
-        if (!op.ok()) return op.status();
-        task.kind = RedoTaskKind::kSinglePage;
-        task.op = op.value();
-        break;
-      }
-    }
-    plan.tasks.push_back(std::move(task));
+  plan.owned.assign(std::make_move_iterator(records.begin()),
+                    std::make_move_iterator(records.end()));
+  plan.tasks.reserve(plan.owned.size());
+  for (const wal::LogRecord& record : plan.owned) {
+    REDO_RETURN_IF_ERROR(AddTask(record, whole_splits, plan));
   }
   return plan;
 }

@@ -92,7 +92,8 @@ struct WorkerResult {
   size_t handoffs = 0;
   size_t prefetched = 0;  ///< pages installed by async read batches
   uint64_t busy_us = 0;   ///< this worker's thread-CPU time in the loop
-  std::vector<TaskVerdict> verdicts;
+  size_t verdict_count = 0;
+  std::vector<TaskVerdict> verdicts;  ///< gathered only under a tracer
   std::vector<size_t> replayed_splits;
 };
 
@@ -116,6 +117,8 @@ struct WorkerEnv {
   size_t workers;
   std::vector<std::unique_ptr<HandoffQueue>>* queues;
   std::atomic<bool>* abort;
+  /// Gather per-task verdicts (a tracer will replay them).
+  bool gather_verdicts = false;
   /// Non-null when the pool has an async backend attached: workers
   /// prefetch their plan's reads in batches before applying.
   storage::AsyncIoBackend* async_io = nullptr;
@@ -162,13 +165,13 @@ void PrefetchPlanPages(const WorkerEnv& env, size_t me,
     const RedoTask& task = plan.tasks[item.task];
     switch (task.kind) {
       case RedoTaskKind::kSinglePage:
-        if (!dpt_skips(task.op.page, task.lsn)) add(task.op.page);
+        if (!dpt_skips(task.page, task.lsn)) add(task.page);
         break;
       case RedoTaskKind::kPageImage:
-        if (dpt_skips(task.image_page, task.lsn)) break;
+        if (dpt_skips(task.page, task.lsn)) break;
         // Redo-all with blind first touch installs without reading.
         if (redo_all && options.blind_first_touch) break;
-        add(task.image_page);
+        add(task.page);
         break;
       case RedoTaskKind::kSplitDst:
         if (item.role == Role::kAssist) {
@@ -256,10 +259,25 @@ void RunWorker(const WorkerEnv& env, size_t me,
   };
   auto verdict = [&](core::Lsn lsn, PageId page, obs::RedoVerdict v,
                      const char* reason) {
-    result.verdicts.push_back(TaskVerdict{lsn, page, v, reason});
+    ++result.verdict_count;
+    if (env.gather_verdicts) {
+      result.verdicts.push_back(TaskVerdict{lsn, page, v, reason});
+    }
+  };
+  // redo.task spans cover work only: a task opens its span once it is
+  // past its skip decision, to apply or to hand a page off, so the
+  // tasks a DPT or page-LSN test skips take no clock reads.
+  obs::FlightRecorder& recorder = obs::FlightRecorder::Global();
+  bool span_open = false;
+  uint64_t span_tick = 0;
+  PageId span_page = 0;
+  auto begin_span = [&](PageId page) {
+    if (span_open || !recorder.enabled()) return;
+    span_open = true;
+    span_tick = recorder.NowTick();
+    span_page = page;
   };
 
-  obs::FlightRecorder& recorder = obs::FlightRecorder::Global();
   const uint64_t cpu_start = ThreadCpuUs();
   PrefetchPlanPages(env, me, items, part, result);
   for (const WorkItem& item : items) {
@@ -267,74 +285,74 @@ void RunWorker(const WorkerEnv& env, size_t me,
     if (!result.status.ok()) break;
     const RedoTask& task = plan.tasks[item.task];
     const core::Lsn lsn = task.lsn;
-    obs::FlightScope task_span(obs::FlightEventType::kRedoTask, me, lsn,
-                               item.role == Role::kAssist ? 1 : 0);
 
     switch (task.kind) {
       case RedoTaskKind::kSinglePage: {
         ++result.scanned;
-        if (dpt_skips(task.op.page, lsn)) {
+        if (dpt_skips(task.page, lsn)) {
           ++result.skipped_without_fetch;
-          verdict(lsn, task.op.page, obs::RedoVerdict::kNotExposed,
+          verdict(lsn, task.page, obs::RedoVerdict::kNotExposed,
                   "analysis-dpt");
           break;
         }
-        Result<Page*> page = part.Fetch(task.op.page);
+        Result<Page*> page = part.Fetch(task.page);
         if (!page.ok()) {
           fail(page.status(), lsn);
           break;
         }
         if (!redo_all && page.value()->lsn() >= lsn) {  // installed
-          verdict(lsn, task.op.page, obs::RedoVerdict::kSkippedInstalled,
+          verdict(lsn, task.page, obs::RedoVerdict::kSkippedInstalled,
                   "page-lsn-current");
           break;
         }
-        const Status applied = engine::ApplySinglePageOp(task.op, page.value());
+        begin_span(task.page);
+        Result<engine::SinglePageOp> op = task.DecodeOp();
+        const Status applied =
+            op.ok() ? engine::ApplySinglePageOp(op.value(), page.value())
+                    : op.status();
         if (!applied.ok()) {
           fail(applied, lsn);
           break;
         }
-        part.MarkDirty(task.op.page, lsn);
+        part.MarkDirty(task.page, lsn);
         ++result.replayed;
-        verdict(lsn, task.op.page, obs::RedoVerdict::kApplied,
+        verdict(lsn, task.page, obs::RedoVerdict::kApplied,
                 redo_all ? "redo-all" : "page-lsn-older");
         break;
       }
 
       case RedoTaskKind::kPageImage: {
         ++result.scanned;
-        if (dpt_skips(task.image_page, lsn)) {
+        if (dpt_skips(task.page, lsn)) {
           ++result.skipped_without_fetch;
-          verdict(lsn, task.image_page, obs::RedoVerdict::kNotExposed,
+          verdict(lsn, task.page, obs::RedoVerdict::kNotExposed,
                   "analysis-dpt");
           break;
         }
         Page* page = nullptr;
         if (redo_all && options.blind_first_touch &&
-            !part.IsCached(task.image_page)) {
-          page = part.FetchBlind(task.image_page);
+            !part.IsCached(task.page)) {
+          page = part.FetchBlind(task.page);
         } else {
-          Result<Page*> fetched = part.Fetch(task.image_page);
+          Result<Page*> fetched = part.Fetch(task.page);
           if (!fetched.ok()) {
             fail(fetched.status(), lsn);
             break;
           }
           page = fetched.value();
           if (!redo_all && page->lsn() >= lsn) {  // installed
-            verdict(lsn, task.image_page, obs::RedoVerdict::kSkippedInstalled,
+            verdict(lsn, task.page, obs::RedoVerdict::kSkippedInstalled,
                     "page-lsn-current");
             break;
           }
         }
-        // One memcpy from the still-encoded payload straight into the
-        // frame — no intermediate Page materializes.
-        std::memcpy(page->bytes().data(),
-                    task.image_payload.data() +
-                        (task.image_payload.size() - Page::kSize),
-                    Page::kSize);
-        part.MarkDirty(task.image_page, lsn);
+        begin_span(task.page);
+        // One memcpy from the record straight into the frame — no
+        // intermediate Page materializes.
+        std::memcpy(page->bytes().data(), task.ImageBytes(), Page::kSize);
+        part.MarkDirty(task.page, lsn);
         ++result.replayed;
-        verdict(lsn, task.image_page, obs::RedoVerdict::kApplied,
+        verdict(lsn, task.page, obs::RedoVerdict::kApplied,
                 redo_all ? "redo-all" : "page-lsn-older");
         break;
       }
@@ -350,6 +368,7 @@ void RunWorker(const WorkerEnv& env, size_t me,
             fail(src.status(), lsn);
             break;
           }
+          begin_span(task.split.src);
           ++result.handoffs;
           recorder.Instant(obs::FlightEventType::kRedoHandoff, me,
                            env.owner(task.split.dst), lsn);
@@ -377,6 +396,7 @@ void RunWorker(const WorkerEnv& env, size_t me,
                   "page-lsn-current");
           break;
         }
+        begin_span(task.split.dst);
         if (!cross) {
           Result<Page*> src = part.Fetch(task.split.src);
           if (!src.ok()) {
@@ -404,6 +424,7 @@ void RunWorker(const WorkerEnv& env, size_t me,
           // I own dst. Read-modify-write transforms ship dst's prior
           // contents to the lead first; either way I install the
           // computed page the lead ships back.
+          begin_span(task.split.dst);
           if (reads_dst) {
             Result<Page*> dst = part.Fetch(task.split.dst);
             if (!dst.ok()) {
@@ -437,6 +458,7 @@ void RunWorker(const WorkerEnv& env, size_t me,
         }
         // Lead: I own src.
         ++result.scanned;
+        begin_span(task.split.src);
         const bool cross = dst_owner != me;
         Result<Page*> src = part.Fetch(task.split.src);
         if (!src.ok()) {
@@ -510,6 +532,7 @@ void RunWorker(const WorkerEnv& env, size_t me,
                     "page-lsn-current");
             continue;
           }
+          begin_span(action.page);
           switch (action.kind) {
             case engine::UndoAction::Kind::kSlotRestore:
               if (action.slot >= Page::NumSlots()) {
@@ -534,6 +557,11 @@ void RunWorker(const WorkerEnv& env, size_t me,
         break;
       }
     }
+    if (span_open) {
+      recorder.EndSpan(obs::FlightEventType::kRedoTask, span_tick, me, lsn,
+                       span_page);
+      span_open = false;
+    }
   }
   result.busy_us = ThreadCpuUs() - cpu_start;
 }
@@ -546,7 +574,8 @@ size_t OwnerOfPage(PageId page, size_t workers) {
 
 ParallelRedoReport RunParallelRedo(BufferPool* pool, const RedoPlan& plan,
                                    const ParallelRedoOptions& options,
-                                   ParallelRedoMetrics* metrics) {
+                                   ParallelRedoMetrics* metrics,
+                                   obs::RecoveryTracer* tracer) {
   ParallelRedoReport report;
   const size_t workers = std::max<size_t>(1, options.workers);
   report.workers_used = workers;
@@ -572,10 +601,8 @@ ParallelRedoReport RunParallelRedo(BufferPool* pool, const RedoPlan& plan,
     const RedoTask& task = plan.tasks[i];
     switch (task.kind) {
       case RedoTaskKind::kSinglePage:
-        items[owner(task.op.page)].push_back({i, Role::kLead});
-        break;
       case RedoTaskKind::kPageImage:
-        items[owner(task.image_page)].push_back({i, Role::kLead});
+        items[owner(task.page)].push_back({i, Role::kLead});
         break;
       case RedoTaskKind::kSplitDst: {
         const size_t lead = owner(task.split.dst);
@@ -640,6 +667,7 @@ ParallelRedoReport RunParallelRedo(BufferPool* pool, const RedoPlan& plan,
   env.workers = workers;
   env.queues = &queues;
   env.abort = &abort;
+  env.gather_verdicts = tracer != nullptr;
   env.async_io = backend;
 
   if (workers == 1) {
@@ -667,8 +695,7 @@ ParallelRedoReport RunParallelRedo(BufferPool* pool, const RedoPlan& plan,
     report.worker_busy_total_us += result.busy_us;
     report.worker_busy_max_us =
         std::max(report.worker_busy_max_us, result.busy_us);
-    report.verdicts.insert(report.verdicts.end(), result.verdicts.begin(),
-                           result.verdicts.end());
+    report.verdicts += result.verdict_count;
     report.replayed_splits.insert(report.replayed_splits.end(),
                                   result.replayed_splits.begin(),
                                   result.replayed_splits.end());
@@ -678,10 +705,27 @@ ParallelRedoReport RunParallelRedo(BufferPool* pool, const RedoPlan& plan,
       report.failed_lsn = result.failed_lsn;
     }
   }
-  std::sort(report.verdicts.begin(), report.verdicts.end(),
-            [](const TaskVerdict& a, const TaskVerdict& b) {
-              return a.lsn < b.lsn;
-            });
+  if (tracer != nullptr) {
+    // Each worker reached its verdicts in LSN order, so merging the
+    // lists (ties to the lower worker) replays the serial sequence.
+    std::vector<size_t> next(workers, 0);
+    while (true) {
+      const TaskVerdict* lowest = nullptr;
+      size_t lowest_worker = 0;
+      for (size_t w = 0; w < workers; ++w) {
+        if (next[w] == results[w].verdicts.size()) continue;
+        const TaskVerdict& v = results[w].verdicts[next[w]];
+        if (lowest == nullptr || v.lsn < lowest->lsn) {
+          lowest = &v;
+          lowest_worker = w;
+        }
+      }
+      if (lowest == nullptr) break;
+      tracer->Verdict(lowest->lsn, lowest->page, lowest->verdict,
+                      lowest->reason);
+      ++next[lowest_worker];
+    }
+  }
   std::sort(report.replayed_splits.begin(), report.replayed_splits.end());
 
   for (const BufferPool::RedoPartition& part : partitions) {
@@ -698,7 +742,7 @@ ParallelRedoReport RunParallelRedo(BufferPool* pool, const RedoPlan& plan,
     metrics->cross_edges += report.cross_edges;
     metrics->blind_installs += report.blind_installs;
     metrics->prefetched_pages += report.prefetched_pages;
-    metrics->verdicts_merged += report.verdicts.size();
+    metrics->verdicts_merged += report.verdicts;
     metrics->apply_busy_us += report.worker_busy_total_us;
     metrics->apply_critical_path_us += report.worker_busy_max_us;
   }

@@ -18,7 +18,7 @@
 // before popping. So some worker always makes progress.
 //
 // Determinism: workers race only on disjoint pages; the join sorts
-// verdicts by LSN (one per task, LSNs unique) and merges pool
+// traced verdicts by LSN (one per task, LSNs unique) and merges pool
 // partitions in page-id order, so the merged result is byte-identical
 // to the serial scan regardless of thread interleaving.
 
@@ -63,8 +63,8 @@ struct ParallelRedoOptions {
   std::function<size_t(storage::PageId)> owner_override;
 };
 
-/// One redo-test verdict, tracer-shaped; the caller replays these into
-/// its RecoveryTracer in LSN order.
+/// One redo-test verdict, tracer-shaped; the join replays these into
+/// the run's RecoveryTracer in LSN order.
 struct TaskVerdict {
   core::Lsn lsn = core::kNullLsn;
   storage::PageId page = 0;
@@ -83,9 +83,10 @@ struct ParallelRedoReport {
   size_t skipped_without_fetch = 0;
   size_t page_fetches = 0;
 
-  /// One verdict per executed task, sorted by LSN at the join — the
-  /// same sequence a serial scan emits.
-  std::vector<TaskVerdict> verdicts;
+  /// Redo-test verdicts reached (one per executed task, one per page
+  /// for a CLR) — counted always, gathered and replayed only under a
+  /// tracer.
+  size_t verdicts = 0;
 
   /// Indices into plan.tasks (ascending, hence ascending LSN) of split
   /// tasks that were actually replayed. The caller re-arms §6.4
@@ -120,11 +121,15 @@ size_t OwnerOfPage(storage::PageId page, size_t workers);
 /// the partitions still merge: each page then holds an LSN-ordered
 /// prefix of its chain — a valid intermediate recovery state, since
 /// redo is idempotent and the caller may crash and rerun.
-/// `metrics`, if non-null, accumulates the run's counters.
+/// `metrics`, if non-null, accumulates the run's counters. With a
+/// `tracer`, workers gather their verdicts and the join replays them
+/// into it in LSN order — the sequence a serial scan emits; without
+/// one, verdicts are only counted.
 ParallelRedoReport RunParallelRedo(storage::BufferPool* pool,
                                    const RedoPlan& plan,
                                    const ParallelRedoOptions& options,
-                                   ParallelRedoMetrics* metrics = nullptr);
+                                   ParallelRedoMetrics* metrics = nullptr,
+                                   obs::RecoveryTracer* tracer = nullptr);
 
 }  // namespace redo::par
 

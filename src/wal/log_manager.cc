@@ -469,8 +469,28 @@ const std::vector<LogRecord>* LogManager::ReadableSealedRecords(
   return nullptr;
 }
 
-StableScan LogManager::ScanStable(core::Lsn from) const {
-  StableScan scan;
+Status LogManager::ScanStable(core::Lsn from, const StableVisitor& visit,
+                              StableScan* extent) const {
+  StableScan local;
+  StableScan& scan = extent != nullptr ? *extent : local;
+  // Cached records are LSN-ordered, so the scan starts at `from` by
+  // binary search. Each payload is its own allocation and most
+  // visitors read its header, so payloads are prefetched a few records
+  // ahead of the visit.
+  auto visit_cached = [&](const std::vector<LogRecord>& records) -> Status {
+    constexpr size_t kAhead = 8;
+    const auto first = std::lower_bound(
+        records.begin(), records.end(), from,
+        [](const LogRecord& r, core::Lsn lsn) { return r.lsn < lsn; });
+    for (size_t i = static_cast<size_t>(first - records.begin());
+         i < records.size(); ++i) {
+      if (i + kAhead < records.size()) {
+        __builtin_prefetch(records[i + kAhead].payload.data());
+      }
+      REDO_RETURN_IF_ERROR(visit(records[i], false));
+    }
+    return Status::Ok();
+  };
   const core::Lsn live_begin = live_begin_lsn();
   // Truncated-away prefix: served from the archive.
   if (live_begin == 0 || from < live_begin) {
@@ -483,12 +503,10 @@ StableScan LogManager::ScanStable(core::Lsn from) const {
       const std::vector<LogRecord>* records = ReadableSealedRecords(seg);
       if (records == nullptr) {
         scan.torn = true;
-        return scan;
+        return Status::Ok();
       }
       scan.last_valid_lsn = seg.last_lsn;
-      for (const LogRecord& record : *records) {
-        if (record.lsn >= from) scan.records.push_back(record);
-      }
+      REDO_RETURN_IF_ERROR(visit_cached(*records));
     }
   }
   for (size_t i = 0; i < live_.size(); ++i) {
@@ -509,21 +527,19 @@ StableScan LogManager::ScanStable(core::Lsn from) const {
         for (size_t j = i; j < live_.size(); ++j) {
           scan.damaged_bytes += live_[j].primary.bytes.size();
         }
-        return scan;
+        return Status::Ok();
       }
       scan.last_valid_lsn = seg.last_lsn;
       scan.valid_bytes += seg.primary.bytes.size();
-      for (const LogRecord& record : *records) {
-        if (record.lsn >= from) scan.records.push_back(record);
-      }
+      REDO_RETURN_IF_ERROR(visit_cached(*records));
     } else {
       // The active segment: cached verified records, then a tolerant
       // decode of any unverified (torn, unsalvaged) tail bytes.
-      if (!seg.records.empty()) ++stats_.scan_cache_hits;
-      for (const LogRecord& record : seg.records) {
-        scan.last_valid_lsn = record.lsn;
-        if (record.lsn >= from) scan.records.push_back(record);
+      if (!seg.records.empty()) {
+        ++stats_.scan_cache_hits;
+        scan.last_valid_lsn = seg.records.back().lsn;
       }
+      REDO_RETURN_IF_ERROR(visit_cached(seg.records));
       size_t offset = verified_prefix_;
       while (offset < seg.primary.bytes.size()) {
         Result<LogRecord> record = DecodeRecord(seg.primary.bytes, &offset);
@@ -533,13 +549,26 @@ StableScan LogManager::ScanStable(core::Lsn from) const {
         }
         scan.last_valid_lsn = record.value().lsn;
         if (record.value().lsn >= from) {
-          scan.records.push_back(std::move(record).value());
+          REDO_RETURN_IF_ERROR(visit(record.value(), true));
         }
       }
       scan.valid_bytes += offset;
       scan.damaged_bytes += seg.primary.bytes.size() - offset;
     }
   }
+  return Status::Ok();
+}
+
+StableScan LogManager::ScanStable(core::Lsn from) const {
+  StableScan scan;
+  const Status status = ScanStable(
+      from,
+      [&scan](const LogRecord& record, bool) {
+        scan.records.push_back(record);
+        return Status::Ok();
+      },
+      &scan);
+  REDO_CHECK(status.ok());  // the visitor never fails
   return scan;
 }
 
@@ -628,11 +657,11 @@ Result<std::optional<LogRecord>> LogManager::LatestStableCheckpoint() const {
     // damaged behind our back; fall through to the tolerant scan.
   }
   ++stats_.checkpoint_full_scans;
-  const StableScan scan = ScanStable(1);
   std::optional<LogRecord> latest;
-  for (const LogRecord& record : scan.records) {
+  REDO_RETURN_IF_ERROR(ScanStable(1, [&latest](const LogRecord& record, bool) {
     if (record.type == RecordType::kCheckpoint) latest = record;
-  }
+    return Status::Ok();
+  }));
   return latest;
 }
 

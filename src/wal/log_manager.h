@@ -293,6 +293,24 @@ class LogManager {
   /// whether damage follows it.
   StableScan ScanStable(core::Lsn from) const;
 
+  /// Receives one stable record by const&. `transient` is true for a
+  /// record decoded from the active segment's unverified (torn,
+  /// unsalvaged) tail bytes: it lives only for the call. Every other
+  /// record is borrowed from the parsed-record cache and stays valid
+  /// until the log is next appended to, forced, sealed, salvaged,
+  /// truncated, scrubbed or fault-hooked.
+  using StableVisitor =
+      std::function<Status(const LogRecord& record, bool transient)>;
+
+  /// The one stable scan, without copies: hands every record
+  /// StableRecords(from) would return to `visit`, in the same order,
+  /// and stops at (and returns) the first non-OK Status `visit`
+  /// returns. `extent`, if non-null, receives the scan's torn /
+  /// last_valid_lsn / valid_bytes / damaged_bytes (its `records` are
+  /// left alone); they are complete only when the scan ran to its end.
+  Status ScanStable(core::Lsn from, const StableVisitor& visit,
+                    StableScan* extent = nullptr) const;
+
   /// Truncates the active segment at the last valid record, making tail
   /// damage permanent and acknowledged: stable_lsn() afterwards is the
   /// LSN of the last decodable record, which may be *higher* than before

@@ -270,6 +270,61 @@ TEST(GeneralizedMethodTest, ConstraintRearmedDuringRecovery) {
   EXPECT_TRUE(db->pool().FlushPageCascading(1).ok());
 }
 
+// ---- Recovery rehearsal on a live db ----
+
+// Recover() on a live db whose log still holds unforced appends. Under
+// a two-page cache redo's fetches evict, and each eviction forces the
+// log up to the victim's LSN while the serial scan runs: the forced
+// records grow the log's parsed-record cache, and on a segmented log
+// they seal segments, moving the segment list a borrowing scan would
+// be walking (a use-after-free under ASan). Every record is installed,
+// so the rehearsal must keep the state it found.
+TEST(RecoveryRehearsalTest, UnforcedAppendsForcedDuringRedoKeepTheState) {
+  for (const size_t segment_bytes : {size_t{0}, size_t{64}}) {
+    for (const MethodKind kind :
+         {MethodKind::kPhysiological, MethodKind::kGeneralized}) {
+      engine::MiniDbOptions options;
+      options.num_pages = kPages;
+      options.cache_capacity = 2;
+      options.wal.segment_bytes = segment_bytes;
+      auto db = std::make_unique<MiniDb>(options,
+                                         methods::MakeMethod(kind, {kPages}));
+      // Round-robin writes evict (and so force) as they go; the last
+      // twenty land on the two cached pages and stay unforced.
+      for (int round = 0; round < 4; ++round) {
+        for (storage::PageId p = 1; p < 6; ++p) {
+          ASSERT_TRUE(db->WriteSlot(p, round, 100 * round + p).ok());
+        }
+      }
+      for (int i = 0; i < 20; ++i) {
+        ASSERT_TRUE(db->WriteSlot(4 + i % 2, 10 + i, i).ok());
+      }
+      ASSERT_GE(db->log().last_lsn() - db->log().stable_lsn(), 20u);
+      auto effective = [&db] {
+        std::vector<std::pair<uint64_t, core::Lsn>> state;
+        for (storage::PageId p = 0; p < kPages; ++p) {
+          const storage::Page* cached = db->pool().PeekCached(p);
+          const storage::Page& page =
+              cached != nullptr ? *cached : db->disk().PeekPage(p);
+          state.emplace_back(page.ContentHash(), page.lsn());
+        }
+        return state;
+      };
+      const auto before = effective();
+      const core::Lsn stable_before = db->log().stable_lsn();
+      const size_t segments_before = db->log().LiveSegments().size();
+      ASSERT_TRUE(db->Recover().ok()) << MethodKindName(kind);
+      EXPECT_GT(db->log().stable_lsn(), stable_before)
+          << MethodKindName(kind) << ": redo's evictions must force the log";
+      if (segment_bytes != 0) {
+        EXPECT_GT(db->log().LiveSegments().size(), segments_before)
+            << MethodKindName(kind) << ": and seal a segment mid-scan";
+      }
+      EXPECT_EQ(effective(), before) << MethodKindName(kind);
+    }
+  }
+}
+
 // ---- Redo-scan stats accumulate across recoveries ----
 
 TEST(RedoScanStatsTest, StatsAccumulateAcrossRecoverCalls) {

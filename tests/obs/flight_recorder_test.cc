@@ -240,9 +240,9 @@ TEST_F(FlightRecorderTest, RecoverThenServeTracesAllSubsystems) {
 
 // ---- The golden trace: a fixed single-threaded event sequence under
 // ---- virtual ticks must export byte-identical text across runs and
-// ---- match the checked-in golden. Regenerate with:
-// ----   REDO_REGEN_GOLDENS=1 ./build/tests/obs_test \
-// ----       --gtest_filter='FlightRecorderTest.GoldenTrace'
+// ---- match the checked-in golden. Regenerate by running obs_test
+// ---- with REDO_REGEN_GOLDENS=1 in the environment and
+// ---- --gtest_filter='FlightRecorderTest.GoldenTrace'.
 
 std::string RunGoldenScenario() {
   FlightRecorder& recorder = FlightRecorder::Global();

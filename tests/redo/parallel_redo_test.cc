@@ -8,12 +8,14 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <map>
 #include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "engine/minidb.h"
+#include "obs/flight_recorder.h"
 #include "redo/instant.h"
 #include "redo/plan.h"
 #include "storage/page.h"
@@ -186,19 +188,24 @@ TEST(ParallelSchedulerTest, CrossWorkerSplitHandoffRespectsWriteGraphOrder) {
   options.workers = 2;
   options.mode = ParallelRedoOptions::Mode::kLsnTest;
   options.owner_override = [](PageId p) { return p == 1 ? 0u : 1u; };
+  obs::RecoveryTracer tracer;
   const ParallelRedoReport report =
-      RunParallelRedo(&db->pool(), plan, options);
+      RunParallelRedo(&db->pool(), plan, options, nullptr, &tracer);
   ASSERT_TRUE(report.status.ok()) << report.status.ToString();
   EXPECT_GE(report.cross_edges, 1u);
   EXPECT_GE(report.handoffs, 1u);
   EXPECT_EQ(EffectiveState(*db), serial_state)
       << "a hand-off that ignored write-graph order would split stale "
          "bytes into p2 or let p2's later write be clobbered";
-  // The merged verdicts come back in serial (LSN) order.
-  for (size_t i = 1; i < report.verdicts.size(); ++i) {
-    EXPECT_LT(report.verdicts[i - 1].lsn, report.verdicts[i].lsn);
+  // The merged verdicts reach the tracer in serial (LSN) order.
+  std::vector<int64_t> lsns;
+  for (const obs::TraceEvent& event : tracer.events()) {
+    ASSERT_EQ(event.event, "redo-verdict");
+    lsns.push_back(event.numbers[0].second);
   }
-  EXPECT_EQ(report.verdicts.size(), plan.tasks.size());
+  for (size_t i = 1; i < lsns.size(); ++i) EXPECT_LT(lsns[i - 1], lsns[i]);
+  EXPECT_EQ(lsns.size(), plan.tasks.size());
+  EXPECT_EQ(report.verdicts, plan.tasks.size());
 }
 
 TEST(ParallelSchedulerTest, WholeSplitHandoffMatchesSerialApply) {
@@ -222,6 +229,105 @@ TEST(ParallelSchedulerTest, WholeSplitHandoffMatchesSerialApply) {
     db->set_engine_options(engine::EngineOptions{});
     EXPECT_EQ(EffectiveState(*db), serial_state) << workers << " workers";
   }
+}
+
+// A borrowed plan points into the log's parsed-record cache, except for
+// the records the scan decodes from unverified tail bytes: those are
+// temporaries, so the plan must keep copies. Plan straight off a log
+// with an unsalvaged torn tail and replay it at 4 workers; the result
+// must equal serial recovery (which salvages the same complete records
+// first).
+TEST(ParallelSchedulerTest, BorrowedPlanOverAnUnverifiedTailMatchesSerial) {
+  auto db = MakeDb(MethodKind::kGeneralized);
+  RunMixedWorkload(*db);
+  if (testing::Test::HasFatalFailure()) return;
+  ASSERT_TRUE(db->log().ForceAll().ok());
+  const core::Lsn stable = db->log().stable_lsn();
+  // Two complete unacknowledged records and a torn third.
+  ASSERT_TRUE(db->WriteSlot(3, 7, 71).ok());
+  ASSERT_TRUE(db->Split(SplitOp{SplitTransform::kSlotHalf, 2, 9}).ok());
+  ASSERT_TRUE(db->WriteSlot(9, 1, 91).ok());
+  const size_t pending = db->log().PendingForceBytes();
+  ASSERT_EQ(db->log().TearInFlightForce(pending - 3), pending - 3);
+  db->Crash();
+  const std::vector<Page> crash_disk = SnapshotDisk(*db);
+
+  {
+    const RedoPlan plan = BuildRedoPlan(db->log(), 1, false).value();
+    EXPECT_FALSE(plan.owned.empty()) << "tail records must be copied";
+    for (const wal::LogRecord& record : plan.owned) {
+      EXPECT_GT(record.lsn, stable) << "only tail records are copied";
+    }
+    EXPECT_GT(plan.tasks.back().lsn, stable);
+    ParallelRedoOptions options;
+    options.workers = 4;
+    options.mode = ParallelRedoOptions::Mode::kLsnTest;
+    options.blind_first_touch = false;
+    const ParallelRedoReport report =
+        RunParallelRedo(&db->pool(), plan, options);
+    ASSERT_TRUE(report.status.ok()) << report.status.ToString();
+  }
+  const auto parallel_state = EffectiveState(*db);
+
+  RestoreCrashState(*db, crash_disk);
+  ASSERT_TRUE(db->Recover().ok());
+  EXPECT_GT(db->log().stable_lsn(), stable) << "salvage kept the tail";
+  EXPECT_EQ(parallel_state, EffectiveState(*db));
+}
+
+// redo.task spans cover work only: a task whose redo test skips it
+// takes no clock reads and records nothing; an applied task records
+// one span whose payload is (worker, lsn, page).
+TEST(ParallelSchedulerTest, RedoTaskSpansRecordOnlyAppliedTasks) {
+  obs::FlightRecorder& recorder = obs::FlightRecorder::Global();
+  auto redo_task_spans = [&recorder] {
+    std::vector<obs::FlightEvent> spans;
+    for (const obs::FlightEvent& event : recorder.Drain()) {
+      if (event.type == obs::FlightEventType::kRedoTask) spans.push_back(event);
+    }
+    return spans;
+  };
+  recorder.set_enabled(true);
+  engine::EngineOptions recovery;
+  recovery.parallel_workers = 2;
+
+  auto db = MakeDb(MethodKind::kPhysiological);
+  std::map<core::Lsn, PageId> written;  // lsn -> page
+  for (PageId p = 1; p < 6; ++p) {
+    for (uint32_t slot = 0; slot < 3; ++slot) {
+      Result<core::Lsn> lsn = db->WriteSlot(p, slot, 10 * p + slot);
+      ASSERT_TRUE(lsn.ok());
+      written.emplace(lsn.value(), p);
+    }
+  }
+  ASSERT_TRUE(db->log().ForceAll().ok());
+
+  // Every page on disk current: the page-LSN test skips every task.
+  ASSERT_TRUE(db->pool().FlushAll().ok());
+  db->Crash();
+  const std::vector<Page> flushed = SnapshotDisk(*db);
+  db->set_engine_options(recovery);
+  recorder.Reset();
+  ASSERT_TRUE(db->Recover().ok());
+  EXPECT_EQ(db->method().last_scan_stats().replayed, 0u);
+  EXPECT_TRUE(redo_task_spans().empty()) << "skipped tasks record no span";
+
+  // Every page on disk stale: every task applies and records one span.
+  std::vector<Page> stale = flushed;
+  for (PageId p = 1; p < 6; ++p) stale[p] = Page();
+  RestoreCrashState(*db, stale);
+  recorder.Reset();
+  ASSERT_TRUE(db->Recover().ok());
+  const std::vector<obs::FlightEvent> spans = redo_task_spans();
+  ASSERT_EQ(spans.size(), written.size());
+  for (const obs::FlightEvent& span : spans) {
+    EXPECT_EQ(span.phase, 'X');
+    EXPECT_LT(span.a0, recovery.parallel_workers) << "a0 = worker";
+    ASSERT_EQ(written.count(span.a1), 1u) << "a1 = lsn";
+    EXPECT_EQ(span.a2, written.at(span.a1)) << "a2 = the task's page";
+  }
+  db->set_engine_options(engine::EngineOptions{});
+  recorder.Reset();
 }
 
 // ---- End-to-end equivalence across every method ----
@@ -392,12 +498,14 @@ TEST(InstantRedoDriverTest, NextPendingPageTakesLowestHeadThenLowestPage) {
   ASSERT_TRUE(db->Split(SplitOp{SplitTransform::kSlotHalf, 11, 10}).ok());
   ASSERT_TRUE(db->WriteSlot(10, 1, 5).ok());
   ASSERT_TRUE(db->WriteSlot(11, 1, 6).ok());
-  const RedoPlan plan = BuildRedoPlan(StableRecords(*db), false).value();
+  const std::vector<wal::LogRecord> records = StableRecords(*db);
+  const RedoPlan plan = BuildRedoPlan(records, false).value();
   db->Crash();
 
   InstantRedoOptions options;
   options.mode = InstantRedoOptions::Mode::kLsnTest;
-  InstantRedoDriver driver(&db->pool(), plan, options, nullptr);
+  InstantRedoDriver driver(&db->pool(), BuildRedoPlan(records, false).value(),
+                           options, nullptr);
   PendingModel model(plan);
   // On-demand drains first: a split destination (bridging into its
   // source's chain) and a page from the middle of the LSN order.

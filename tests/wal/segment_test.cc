@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "wal/log_manager.h"
 
@@ -334,6 +335,66 @@ TEST(SegmentTest, TornTailSalvageIsConfinedToTheActiveSegment) {
   EXPECT_EQ(log.stable_lsn(), stable);
   EXPECT_TRUE(log.Scrub().clean()) << "sealed segments unaffected";
   EXPECT_EQ(log.StableRecords(1).value().size(), stable);
+}
+
+// The borrowing scan is the one scan: StableRecords copies what it
+// hands out. One log exercises every source at once — archived
+// (truncated-away) segments, sealed live segments, the active segment's
+// cached records, and an unsalvaged torn tail whose complete records
+// the scan decodes on the fly.
+TEST(SegmentTest, BorrowedScanVisitsExactlyWhatStableRecordsReturns) {
+  LogManager log = MakeSegmented();
+  for (uint8_t i = 1; i <= 6; ++i) AppendForced(log, i);
+  const core::Lsn checkpoint = AppendForced(log, 0, RecordType::kCheckpoint);
+  for (uint8_t i = 7; i <= 10; ++i) AppendForced(log, i);
+  ASSERT_GE(log.TruncateArchived(checkpoint), 1u);
+  ASSERT_GT(log.live_begin_lsn(), 1u);
+  const core::Lsn stable = log.stable_lsn();
+
+  // Two complete unacknowledged records, then a torn third.
+  for (uint8_t tag : {0xa1, 0xa2, 0xa3}) {
+    log.Append(RecordType::kSlotWrite, std::vector<uint8_t>(14, tag));
+  }
+  const size_t pending = log.PendingForceBytes();
+  ASSERT_EQ(log.TearInFlightForce(pending - 4), pending - 4);
+  log.Crash();
+  ASSERT_EQ(log.StableRecords(1).value().back().lsn, stable + 2)
+      << "the tail's complete records are part of the scan";
+
+  for (const core::Lsn from :
+       {core::Lsn{1}, core::Lsn{3}, log.live_begin_lsn(), checkpoint, stable,
+        stable + 2, stable + 3}) {
+    std::vector<LogRecord> visited;
+    std::vector<bool> transient;
+    const Status status =
+        log.ScanStable(from, [&](const LogRecord& record, bool tail) {
+          visited.push_back(record);
+          transient.push_back(tail);
+          return Status::Ok();
+        });
+    ASSERT_TRUE(status.ok()) << status.ToString();
+    EXPECT_EQ(visited, log.StableRecords(from).value()) << "from " << from;
+    for (size_t i = 0; i < visited.size(); ++i) {
+      EXPECT_EQ(transient[i], visited[i].lsn > stable)
+          << "only unverified tail records are temporaries (lsn "
+          << visited[i].lsn << ")";
+    }
+  }
+}
+
+TEST(SegmentTest, BorrowedScanStopsAtTheVisitorsFirstError) {
+  LogManager log = MakeSegmented();
+  for (uint8_t i = 1; i <= 10; ++i) AppendForced(log, i);
+  std::vector<core::Lsn> seen;
+  const Status status =
+      log.ScanStable(2, [&seen](const LogRecord& record, bool) {
+        seen.push_back(record.lsn);
+        return record.lsn == 5 ? Status::Corruption("stop here")
+                               : Status::Ok();
+      });
+  EXPECT_EQ(status.code(), StatusCode::kCorruption);
+  EXPECT_EQ(status.message(), "stop here");
+  EXPECT_EQ(seen, (std::vector<core::Lsn>{2, 3, 4, 5}));
 }
 
 }  // namespace
